@@ -28,7 +28,7 @@ use lofat::service::{ServiceConfig, VerifierService};
 use lofat::wire::{Envelope, Message};
 use lofat::{EngineConfig, MeasurementDatabase, Prover, Verifier};
 use lofat_crypto::DeviceKey;
-use lofat_fleet::SlotBehaviour;
+use lofat_fleet::{nearest_rank, SlotBehaviour};
 use lofat_net::{
     raise_nofile_limit, EventLoopServer, NetLimits, ProverClient, ServerConfig, VerifierServer,
 };
@@ -208,12 +208,9 @@ impl ServiceBenchReport {
     }
 }
 
+/// [`nearest_rank`] of ascending latencies, in microseconds (0 without samples).
 fn percentile_us(sorted: &[Duration], fraction: f64) -> f64 {
-    if sorted.is_empty() {
-        return 0.0;
-    }
-    let rank = ((sorted.len() - 1) as f64 * fraction).round() as usize;
-    sorted[rank.min(sorted.len() - 1)].as_secs_f64() * 1e6
+    nearest_rank(sorted, fraction).map_or(0.0, |latency| latency.as_secs_f64() * 1e6)
 }
 
 /// Pre-generates `sessions` honest evidence envelopes for the sweep workload

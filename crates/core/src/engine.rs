@@ -154,6 +154,11 @@ impl LofatEngine {
         &self.stats
     }
 
+    /// The hash engine controller, for its own and its engine's statistics.
+    pub fn hash_controller(&self) -> &HashController {
+        &self.hash
+    }
+
     /// Processes one retired instruction (the [`TraceSink`] entry point).
     #[inline]
     pub fn observe(&mut self, retired: &RetiredInst) {
@@ -181,13 +186,21 @@ impl LofatEngine {
                 } else if event.kind == lofat_rv32::trace::BranchKind::Return {
                     self.call_depth = self.call_depth.saturating_sub(1);
                 }
-                self.monitor.on_branch(&event, &mut self.scratch);
-                self.absorb_scratch(BRANCH_EVENT_LATENCY);
+                if self.monitor.is_pass_through(&event) {
+                    // No loop tracked and none opened: the pair is hashed
+                    // directly (③ non_loops ctrl in Fig. 3).
+                    self.stats.internal_latency_cycles += BRANCH_EVENT_LATENCY;
+                    self.stats.pairs_hashed += 1;
+                    self.hash.submit(event.pair);
+                } else {
+                    self.monitor.on_branch(&event, &mut self.scratch);
+                    self.absorb_scratch(BRANCH_EVENT_LATENCY);
+                }
             }
         }
 
         // 3. The hash path advances one cycle per processor cycle (it runs in
-        //    parallel with the pipeline).
+        //    parallel with the pipeline); an idle cycle is a counter increment.
         self.hash.pump();
     }
 
@@ -207,7 +220,7 @@ impl LofatEngine {
         self.stats.pairs_hashed += output.hash_now.len() as u64;
         self.stats.max_nesting_observed =
             self.stats.max_nesting_observed.max(self.monitor.max_nesting_observed());
-        self.hash.submit_batch(&mut output.hash_now);
+        self.hash.submit_all(output.hash_now.drain(..));
         self.metadata.loops.append(&mut output.completed);
     }
 

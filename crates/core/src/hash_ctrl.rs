@@ -6,11 +6,28 @@
 //! engine's small input cache buffer.  Because the controller runs in parallel with
 //! the processor it never stalls the attested software; what it does track is its own
 //! occupancy so the evaluation can show that no trace data is ever dropped (§5.3).
+//!
+//! # Counter model
+//!
+//! The controller queue is a count on top of the engine's counters (see
+//! [`lofat_crypto::hash_engine`]): a submitted pair is absorbed into the sponge
+//! at once ([`HashEngine::hash_ahead`]) and only its place in the queue is
+//! remembered.  A pump moves as much of the count into the engine's input buffer
+//! as fits ([`HashEngine::admit`]) and steps the engine one cycle; a pump with
+//! nothing queued, buffered or permuting is two counter increments.  So the
+//! controller does work when a pair arrives and while the pipeline drains, not
+//! per retired instruction.
+//!
+//! **Equivalence contract.**  For every schedule of submissions, pumps and
+//! finalizations, the authenticator, `pending()` and every field of
+//! [`HashControllerStats`] and of the engine's `HashEngineStats` equal those of
+//! a controller that moves each pair through a FIFO queue one cycle at a time.
+//! `tests/hash_path_equivalence.rs` keeps that controller as an oracle and
+//! checks random schedules and the whole workload catalogue against it.
 
 use crate::branches_mem::BranchPair;
 use crate::error::LofatError;
 use lofat_crypto::{Digest, HashEngine, HashEngineConfig};
-use std::collections::VecDeque;
 
 /// Statistics of the hash path.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
@@ -29,26 +46,29 @@ pub struct HashControllerStats {
 #[derive(Debug, Clone)]
 pub struct HashController {
     engine: HashEngine,
-    /// Pairs accepted but not yet offered to the engine's input buffer.
-    queue: VecDeque<BranchPair>,
+    /// Pairs accepted (and already in the sponge) but not yet admitted to the
+    /// engine's input buffer.
+    queued: usize,
     stats: HashControllerStats,
 }
 
 impl HashController {
     /// Creates a controller driving a freshly initialised hash engine.
     pub fn new(config: HashEngineConfig) -> Self {
-        Self {
-            engine: HashEngine::new(config),
-            queue: VecDeque::new(),
-            stats: HashControllerStats::default(),
-        }
+        Self { engine: HashEngine::new(config), queued: 0, stats: HashControllerStats::default() }
     }
 
     /// Submits one `(Src, Dest)` pair for inclusion in the authenticator.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the authenticator was already finalized.
+    #[inline]
     pub fn submit(&mut self, pair: BranchPair) {
-        self.queue.push_back(pair);
+        self.engine.hash_ahead(pair.to_word());
+        self.queued += 1;
         self.stats.pairs_submitted += 1;
-        self.stats.max_queue_depth = self.stats.max_queue_depth.max(self.queue.len());
+        self.stats.max_queue_depth = self.stats.max_queue_depth.max(self.queued);
         // Opportunistically push queued words into the engine.
         self.pump();
     }
@@ -67,33 +87,23 @@ impl HashController {
     /// `max_queue_depth` now reflects the batch high-water mark (the pre-batch
     /// code pumped between pairs, hiding it) and cycle counters advance once per
     /// pump rather than once per pair.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the batch is not empty and the authenticator was already
+    /// finalized.
     pub fn submit_all(&mut self, pairs: impl IntoIterator<Item = BranchPair>) {
-        let before = self.queue.len();
-        self.queue.extend(pairs);
-        self.finish_batch(before);
-    }
-
-    /// Hot-path variant of [`HashController::submit_all`]: drains `pairs` into the
-    /// controller queue without consuming the caller's allocation, so the engine
-    /// can reuse its scratch buffer across steps.
-    pub fn submit_batch(&mut self, pairs: &mut Vec<BranchPair>) {
-        if pairs.is_empty() {
-            return;
+        let mut pushed = 0;
+        for pair in pairs {
+            self.engine.hash_ahead(pair.to_word());
+            pushed += 1;
         }
-        let before = self.queue.len();
-        self.queue.extend(pairs.drain(..));
-        self.finish_batch(before);
-    }
-
-    /// Shared tail of the batch submission paths: accounts for everything
-    /// enqueued past `before` and pumps once (no-op for an empty batch).
-    fn finish_batch(&mut self, before: usize) {
-        let pushed = self.queue.len() - before;
         if pushed == 0 {
             return;
         }
+        self.queued += pushed;
         self.stats.pairs_submitted += pushed as u64;
-        self.stats.max_queue_depth = self.stats.max_queue_depth.max(self.queue.len());
+        self.stats.max_queue_depth = self.stats.max_queue_depth.max(self.queued);
         self.pump();
     }
 
@@ -102,7 +112,7 @@ impl HashController {
     pub fn pump(&mut self) {
         // Idle fast path: nothing queued, nothing buffered, no permutation
         // running — the cycle counters advance and nothing else can change.
-        if self.queue.is_empty() && self.engine.is_idle() {
+        if self.queued == 0 && self.engine.is_idle() {
             self.engine.tick_idle();
             self.stats.cycles += 1;
             return;
@@ -110,18 +120,16 @@ impl HashController {
         // Move queued pairs into the engine's input buffer while there is room; the
         // controller applies back-pressure instead of offering into a full buffer, so
         // the engine never observes a dropped word.
-        while self.engine.buffered() < self.engine.config().input_buffer_words {
-            let Some(pair) = self.queue.pop_front() else { break };
-            self.engine.offer(pair.to_word()).expect("buffer has room");
-            self.stats.words_absorbed += 1;
-        }
+        let moved = self.engine.admit(self.queued);
+        self.queued -= moved;
+        self.stats.words_absorbed += moved as u64;
         self.engine.step();
         self.stats.cycles += 1;
     }
 
-    /// Number of pairs waiting in the controller queue (excluding the engine buffer).
+    /// Number of pairs waiting in the controller queue or the engine's input buffer.
     pub fn pending(&self) -> usize {
-        self.queue.len() + self.engine.buffered()
+        self.queued + self.engine.buffered()
     }
 
     /// Statistics gathered so far.
@@ -140,7 +148,7 @@ impl HashController {
     ///
     /// Returns an error if the engine was already finalized.
     pub fn finalize(&mut self) -> Result<Digest, LofatError> {
-        while !self.queue.is_empty() {
+        while self.queued > 0 {
             self.pump();
         }
         Ok(self.engine.finalize()?)
@@ -164,7 +172,7 @@ impl HashController {
         let controllers: Vec<&'a mut HashController> = controllers.into_iter().collect();
         let mut engines = Vec::with_capacity(controllers.len());
         for controller in controllers {
-            while !controller.queue.is_empty() {
+            while controller.queued > 0 {
                 controller.pump();
             }
             engines.push(&mut controller.engine);

@@ -269,6 +269,15 @@ impl LoopMonitor {
         self.refresh_probe();
     }
 
+    /// Returns `true` if `event` passes straight through: no loop is tracked
+    /// and the event does not open one, so [`LoopMonitor::on_branch`] would
+    /// only forward its pair for hashing and change no state.  The engine
+    /// submits such pairs itself, skipping the output scratch.
+    #[inline]
+    pub fn is_pass_through(&self, event: &BranchEvent) -> bool {
+        self.stack.is_empty() && !event.loop_heuristic
+    }
+
     /// Processes one filtered control-flow event.
     ///
     /// `output` is cleared first and then filled (reusable scratch).
@@ -466,8 +475,17 @@ mod tests {
     /// Test shims preserving the old value-returning call style on top of the
     /// reusable scratch-buffer API.
     fn on_branch(monitor: &mut LoopMonitor, event: &BranchEvent) -> MonitorOutput {
+        let pass_through = monitor.is_pass_through(event);
+        let depth = monitor.depth();
         let mut out = MonitorOutput::new();
         monitor.on_branch(event, &mut out);
+        if pass_through {
+            // The engine submits a pass-through pair itself, so `on_branch`
+            // must do nothing else with it.
+            assert_eq!(out.hash_now, vec![event.pair], "pass-through only forwards its pair");
+            assert_eq!((out.loops_entered, out.untracked_loops), (0, 0));
+            assert_eq!(monitor.depth(), depth);
+        }
         out
     }
 
@@ -491,6 +509,17 @@ mod tests {
         let mut out = MonitorOutput::new();
         monitor.finalize(&mut out);
         out
+    }
+
+    #[test]
+    fn pass_through_needs_no_loop_and_no_heuristic() {
+        let mut monitor = LoopMonitor::new(config());
+        let forward = event(0x1000, 0x1040, BranchKind::Conditional, true);
+        let back = event(0x1010, 0x1008, BranchKind::Conditional, true);
+        assert!(monitor.is_pass_through(&forward));
+        assert!(!monitor.is_pass_through(&back), "a loop heuristic may open a loop");
+        on_branch(&mut monitor, &back);
+        assert!(!monitor.is_pass_through(&forward), "a tracked loop sees every event");
     }
 
     #[test]

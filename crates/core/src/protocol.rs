@@ -199,7 +199,7 @@ mod tests {
         // The adversary boosts the iteration count in memory (attack class ②).
         let mut attack = move |cpu: &mut lofat_rv32::Cpu, retired: u64| {
             if retired == 1 {
-                cpu.memory_mut().poke_bytes(input_addr, &9u32.to_le_bytes()).unwrap();
+                cpu.poke_bytes(input_addr, &9u32.to_le_bytes()).unwrap();
             }
         };
         let err = run_attestation_with_adversary(&mut verifier, &mut prover, vec![2], &mut attack)

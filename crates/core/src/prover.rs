@@ -179,9 +179,9 @@ impl Prover {
             .symbol(INPUT_SYMBOL)
             .ok_or_else(|| LofatError::MissingSymbol { name: INPUT_SYMBOL.into() })?;
         let bytes: Vec<u8> = input.iter().flat_map(|w| w.to_le_bytes()).collect();
-        cpu.memory_mut().poke_bytes(addr, &bytes)?;
+        cpu.poke_bytes(addr, &bytes)?;
         if let Some(len_addr) = self.program.symbol(INPUT_LEN_SYMBOL) {
-            cpu.memory_mut().poke_bytes(len_addr, &(input.len() as u32).to_le_bytes())?;
+            cpu.poke_bytes(len_addr, &(input.len() as u32).to_le_bytes())?;
         }
         Ok(())
     }
@@ -262,7 +262,7 @@ mod tests {
         let input_len = prover.program().symbol("input_len").unwrap();
         let mut attack = |cpu: &mut Cpu, retired: u64| {
             if retired == 2 {
-                cpu.memory_mut().poke_bytes(input_len, &2u32.to_le_bytes()).unwrap();
+                cpu.poke_bytes(input_len, &2u32.to_le_bytes()).unwrap();
             }
         };
         let tampered = prover

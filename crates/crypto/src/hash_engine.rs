@@ -1,4 +1,4 @@
-//! Cycle-level model of the streaming SHA-3-512 hardware engine (§5.3 of the paper).
+//! Timing model of the streaming SHA-3-512 hardware engine (§5.3 of the paper).
 //!
 //! The LO-FAT prototype uses an opencores SHA-3 core that operates on a 576-bit
 //! message block.  Its behaviour, reproduced here:
@@ -13,14 +13,33 @@
 //! * an unlimited message size can be hashed, with the end of the stream indicated
 //!   when the attested execution completes.
 //!
-//! [`HashEngine`] models exactly this pipeline and additionally checks, cycle by
-//! cycle, that the input buffer never overflows (which would mean dropped trace
-//! data).  The resulting digest is bit-identical to [`crate::Sha3_512`] applied to
-//! the same word stream, so the functional and the timing model cannot diverge.
+//! # Counter model
+//!
+//! [`HashEngine`] keeps the pipeline's timing state as integers: the input
+//! buffer's occupancy, the words in the current block and the remaining busy
+//! cycles.  No word is stored.  Each word goes into the SHA-3-512 sponge when it
+//! is offered, because the hardware absorbs buffered words strictly in arrival
+//! order: offer order is absorb order, so hashing early yields the same digest.
+//! A cycle is then a few integer updates, and an idle cycle is one increment.
+//!
+//! The hash engine controller in front of the engine (`lofat::hash_ctrl`) keeps
+//! its own queue as one more count on top of the same counters: it hashes a
+//! pair with [`HashEngine::hash_ahead`] when the pair is submitted and moves the
+//! count into the input buffer with [`HashEngine::admit`].  There is one timing
+//! model, this one.
+//!
+//! **Equivalence contract.**  For every schedule of `offer`, `step`,
+//! `tick_idle`, `drain`, `finalize` and `finalize_many` (and of the controller's
+//! submissions and pumps), the digests, errors, [`EngineStatus`], buffer
+//! occupancy and every field of [`HashEngineStats`] equal those of a model that
+//! moves each word through a FIFO one cycle at a time and hashes it when the
+//! padding buffer takes it.  `tests/hash_path_equivalence.rs` keeps that model as
+//! an oracle and checks random schedules against it.  The digest is also
+//! bit-identical to [`crate::Sha3_512`] applied to the same word stream, so the
+//! functional and the timing model cannot diverge.
 
 use crate::error::CryptoError;
 use crate::sha3::{Digest, Sha3_512};
-use std::collections::VecDeque;
 
 /// Number of 64-bit words that fill the 576-bit rate of SHA-3-512.
 pub const WORDS_PER_BLOCK: u64 = 9;
@@ -88,7 +107,8 @@ impl HashEngineStats {
     }
 }
 
-/// Cycle-level model of the streaming SHA-3-512 engine with an input cache buffer.
+/// Counter model of the streaming SHA-3-512 engine with an input cache buffer
+/// (see the [module documentation](self) for its equivalence contract).
 ///
 /// # Example
 ///
@@ -112,14 +132,14 @@ impl HashEngineStats {
 #[derive(Debug, Clone)]
 pub struct HashEngine {
     config: HashEngineConfig,
-    /// Words waiting in the input cache buffer.
-    buffer: VecDeque<u64>,
+    /// Occupancy of the input cache buffer.  Its words are already in the
+    /// sponge, so only their count is kept.
+    buffered: usize,
     /// Words absorbed into the current (partial) block.
     words_in_block: u64,
     /// Remaining busy cycles of the running permutation.
     busy_remaining: u64,
-    /// Reference software hasher fed with the same words (guarantees functional
-    /// equivalence between the timing model and the software digest).
+    /// Software sponge holding every word offered so far, in offer order.
     hasher: Sha3_512,
     stats: HashEngineStats,
     finalized: bool,
@@ -130,7 +150,7 @@ impl HashEngine {
     pub fn new(config: HashEngineConfig) -> Self {
         Self {
             config,
-            buffer: VecDeque::with_capacity(config.input_buffer_words),
+            buffered: 0,
             words_in_block: 0,
             busy_remaining: 0,
             hasher: Sha3_512::new(),
@@ -161,7 +181,7 @@ impl HashEngine {
     /// Number of words currently waiting in the input cache buffer.
     #[inline]
     pub fn buffered(&self) -> usize {
-        self.buffer.len()
+        self.buffered
     }
 
     /// Returns `true` when the engine has nothing to do this cycle: no buffered
@@ -169,7 +189,7 @@ impl HashEngine {
     /// cycle counter, which [`HashEngine::tick_idle`] does directly.
     #[inline]
     pub fn is_idle(&self) -> bool {
-        self.buffer.is_empty() && self.busy_remaining == 0
+        self.buffered == 0 && self.busy_remaining == 0
     }
 
     /// Advances one clock cycle through the idle fast path.
@@ -194,13 +214,41 @@ impl HashEngine {
         if self.finalized {
             return Err(CryptoError::EngineFinalized);
         }
-        if self.buffer.len() >= self.config.input_buffer_words {
+        if self.buffered >= self.config.input_buffer_words {
             self.stats.words_dropped += 1;
             return Err(CryptoError::EngineOverflow { dropped: self.stats.words_dropped });
         }
-        self.buffer.push_back(word);
-        self.stats.max_buffer_occupancy = self.stats.max_buffer_occupancy.max(self.buffer.len());
+        self.hash_ahead(word);
+        self.admit(1);
         Ok(())
+    }
+
+    /// Absorbs `word` into the sponge ahead of its slot in the input buffer.
+    ///
+    /// This is the controller half of [`HashEngine::offer`]: the caller queues
+    /// the word as a count and later moves it into the buffer with
+    /// [`HashEngine::admit`].  Words must be admitted in the order they were
+    /// hashed, which a count cannot get wrong.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the stream was already finalized (the word could never be
+    /// admitted).
+    #[inline]
+    pub fn hash_ahead(&mut self, word: u64) {
+        assert!(!self.finalized, "word submitted after the end of the stream");
+        self.hasher.update_word(word);
+    }
+
+    /// Moves up to `queued` words, already hashed with
+    /// [`HashEngine::hash_ahead`], into the input buffer while it has room, and
+    /// returns how many moved.
+    #[inline]
+    pub fn admit(&mut self, queued: usize) -> usize {
+        let moved = queued.min(self.config.input_buffer_words - self.buffered);
+        self.buffered += moved;
+        self.stats.max_buffer_occupancy = self.stats.max_buffer_occupancy.max(self.buffered);
+        moved
     }
 
     /// Advances the engine by one clock cycle.
@@ -215,8 +263,8 @@ impl HashEngine {
             self.stats.busy_cycles += 1;
             return;
         }
-        if let Some(word) = self.buffer.pop_front() {
-            self.hasher.update(word.to_le_bytes());
+        if self.buffered > 0 {
+            self.buffered -= 1;
             self.stats.words_absorbed += 1;
             self.words_in_block += 1;
             if self.words_in_block == self.config.words_per_block {
@@ -232,7 +280,7 @@ impl HashEngine {
     /// Returns the number of cycles consumed.
     pub fn drain(&mut self) -> u64 {
         let start = self.stats.cycles;
-        while !self.buffer.is_empty() || self.busy_remaining > 0 {
+        while !self.is_idle() {
             self.step();
         }
         self.stats.cycles - start
@@ -249,7 +297,7 @@ impl HashEngine {
         }
         self.drain();
         self.finalized = true;
-        Ok(self.hasher.clone().finalize())
+        Ok(std::mem::take(&mut self.hasher).finalize())
     }
 
     /// Returns `true` once the stream has been finalized.
@@ -279,7 +327,7 @@ impl HashEngine {
         for engine in engines {
             engine.drain();
             engine.finalized = true;
-            hashers.push(engine.hasher.clone());
+            hashers.push(std::mem::take(&mut engine.hasher));
         }
         Ok(Sha3_512::finalize_many(hashers))
     }

@@ -99,9 +99,12 @@ impl std::fmt::Debug for VerificationKey {
 /// Only the engine can invoke [`KeyRegister::sign`]; there is deliberately no getter
 /// for the key bytes, mirroring the paper's assumption that the software adversary
 /// cannot compromise the signing key.
-#[derive(Debug, Clone)]
+#[derive(Clone)]
 pub struct KeyRegister {
-    key: DeviceKey,
+    /// Keyed-but-empty MAC under the device key: cloning it per report skips
+    /// the two key-schedule permutations of [`Hmac::new`].  Its sponge state is
+    /// key-equivalent material, so `Debug` never shows it.
+    base: Hmac,
     /// Number of signatures produced (useful for audit/testing).
     signatures_issued: u64,
 }
@@ -109,18 +112,30 @@ pub struct KeyRegister {
 impl KeyRegister {
     /// Provisions the register with a device key.
     pub fn provision(key: DeviceKey) -> Self {
-        Self { key, signatures_issued: 0 }
+        Self { base: Hmac::new(key.as_bytes()), signatures_issued: 0 }
     }
 
-    /// Signs `message` with the protected key.
+    /// Signs `message` with the protected key; the tag equals
+    /// `Hmac::mac(key, message)`.
     pub fn sign(&mut self, message: &[u8]) -> Digest {
         self.signatures_issued += 1;
-        Hmac::mac(self.key.as_bytes(), message)
+        let mut mac = self.base.clone();
+        mac.update(message);
+        mac.finalize()
     }
 
     /// Number of signatures issued so far.
     pub fn signatures_issued(&self) -> u64 {
         self.signatures_issued
+    }
+}
+
+impl std::fmt::Debug for KeyRegister {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("KeyRegister")
+            .field("key", &"<redacted>")
+            .field("signatures_issued", &self.signatures_issued)
+            .finish()
     }
 }
 
@@ -159,5 +174,22 @@ mod tests {
         assert!(debug.contains("redacted"));
         let vk = key.verification_key();
         assert!(format!("{vk:?}").contains("redacted"));
+        // The register's keyed MAC state is never printed either: only the
+        // redaction marker and the audit counter appear.
+        let register = KeyRegister::provision(key);
+        assert_eq!(
+            format!("{register:?}"),
+            "KeyRegister { key: \"<redacted>\", signatures_issued: 0 }"
+        );
+    }
+
+    #[test]
+    fn register_tags_equal_one_shot_macs() {
+        let key = DeviceKey::from_seed("prover");
+        let mut register = KeyRegister::provision(key.clone());
+        for message in [&b""[..], b"report", &[0xa5; 200][..]] {
+            assert_eq!(register.sign(message), Hmac::mac(key.as_bytes(), message));
+        }
+        assert_eq!(register.signatures_issued(), 3);
     }
 }

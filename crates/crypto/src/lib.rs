@@ -9,11 +9,15 @@
 //!   `R = sign(A ‖ L ‖ N)`.
 //!
 //! Besides the plain software implementations ([`Sha3_512`], [`Hmac`]), the crate
-//! provides [`hash_engine::HashEngine`], a *cycle-level* model of the streaming
-//! hardware engine: it absorbs one 64-bit word per cycle, needs nine cycles to fill
-//! its 576-bit rate buffer and is then busy for three cycles while the permutation
-//! runs — exactly the behaviour §5.3 of the paper describes and the behaviour the
-//! LO-FAT hash-engine controller has to buffer around.
+//! provides [`hash_engine::HashEngine`], a cycle-accurate *counter model* of the
+//! streaming hardware engine: it absorbs one 64-bit word per cycle, needs nine
+//! cycles to fill its 576-bit rate buffer and is then busy for three cycles while
+//! the permutation runs — exactly the behaviour §5.3 of the paper describes and the
+//! behaviour the LO-FAT hash-engine controller has to buffer around.  The pipeline
+//! is kept as counts (buffer occupancy, words in the block, busy cycles left) and
+//! each word enters the SHA-3-512 sponge when it is offered; its statistics and
+//! digests equal those of a model that moves every word through a FIFO one cycle
+//! at a time (see the equivalence contract in [`hash_engine`]).
 //!
 //! # Example
 //!

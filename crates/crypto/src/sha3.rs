@@ -129,6 +129,23 @@ impl Sponge {
         }
     }
 
+    /// Absorbs one little-endian 64-bit word: a single lane XOR when the
+    /// write position is lane-aligned (always, for a word-only stream), the
+    /// byte path otherwise.  Same state as `update(&word.to_le_bytes())`.
+    #[inline]
+    pub(crate) fn absorb_word(&mut self, word: u64) {
+        if !self.offset.is_multiple_of(8) {
+            self.update(&word.to_le_bytes());
+            return;
+        }
+        self.state.xor_lane(self.offset / 8, word);
+        self.offset += 8;
+        if self.offset == self.rate_bytes {
+            self.state.permute();
+            self.offset = 0;
+        }
+    }
+
     #[inline]
     fn absorb_byte(&mut self, byte: u8) {
         self.state.xor_byte(self.offset, byte);
@@ -191,6 +208,13 @@ impl Sha3_512 {
     /// Absorbs `data` into the hash state.
     pub fn update(&mut self, data: impl AsRef<[u8]>) {
         self.sponge.update(data.as_ref());
+    }
+
+    /// Absorbs one 64-bit word as its 8 little-endian bytes; equivalent to
+    /// `update(word.to_le_bytes())`, without the byte-slice round trip.
+    #[inline]
+    pub fn update_word(&mut self, word: u64) {
+        self.sponge.absorb_word(word);
     }
 
     /// Finalizes the hash and returns the 64-byte digest.
@@ -331,6 +355,24 @@ mod tests {
             h.update(chunk);
         }
         assert_eq!(h.finalize(), Sha3_512::digest(data));
+    }
+
+    /// Word absorption equals absorbing the word's little-endian bytes, from a
+    /// lane-aligned start (the hash path's case) and from every unaligned one.
+    #[test]
+    fn update_word_matches_byte_update() {
+        let words: Vec<u64> = (0..40u64).map(|i| i.wrapping_mul(0x9e37_79b9_7f4a_7c15)).collect();
+        for head in 0..9usize {
+            let mut by_word = Sha3_512::new();
+            let mut by_bytes = Sha3_512::new();
+            by_word.update(&b"unaligned"[..head]);
+            by_bytes.update(&b"unaligned"[..head]);
+            for &word in &words {
+                by_word.update_word(word);
+                by_bytes.update(word.to_le_bytes());
+            }
+            assert_eq!(by_word.finalize(), by_bytes.finalize(), "head {head}");
+        }
     }
 
     /// Every chunking of the same input must produce the same digest, exercising

@@ -445,12 +445,14 @@ fn phase2_slots(job: &Job, traffic: &[TrafficSlot]) -> Vec<usize> {
         .collect()
 }
 
-fn percentile_us(sorted: &[u64], fraction: f64) -> u64 {
-    if sorted.is_empty() {
-        return 0;
-    }
-    let rank = ((sorted.len() - 1) as f64 * fraction).round() as usize;
-    sorted[rank.min(sorted.len() - 1)]
+/// Nearest-rank percentile of ascending `sorted` samples: the sample at index
+/// `round((n - 1) * fraction)`, clamped to the last one; `None` without
+/// samples.  The one percentile rule of the fleet manifests and the service
+/// bench.
+pub fn nearest_rank<T: Copy>(sorted: &[T], fraction: f64) -> Option<T> {
+    let last = sorted.len().checked_sub(1)?;
+    let rank = (last as f64 * fraction).round() as usize;
+    Some(sorted[rank.min(last)])
 }
 
 fn collect_outcome(
@@ -492,8 +494,8 @@ fn collect_outcome_from_books(
         transport,
         verdict_total: verdicts.values().sum(),
         accepted_verdicts: verdicts.get(&code::ACCEPTED).copied().unwrap_or(0),
-        p50_latency_us: percentile_us(&latencies, 0.50),
-        p99_latency_us: percentile_us(&latencies, 0.99),
+        p50_latency_us: nearest_rank(&latencies, 0.50).unwrap_or(0),
+        p99_latency_us: nearest_rank(&latencies, 0.99).unwrap_or(0),
         verdicts,
         stats,
         live,
@@ -738,11 +740,13 @@ mod tests {
 
     #[test]
     fn percentiles_index_sorted_samples() {
-        assert_eq!(percentile_us(&[], 0.5), 0);
-        assert_eq!(percentile_us(&[7], 0.99), 7);
+        assert_eq!(nearest_rank::<u64>(&[], 0.5), None);
+        assert_eq!(nearest_rank(&[7u64], 0.99), Some(7));
         let samples: Vec<u64> = (1..=100).collect();
-        assert_eq!(percentile_us(&samples, 0.50), 51, "rank rounds to nearest");
-        assert_eq!(percentile_us(&samples, 0.99), 99);
+        assert_eq!(nearest_rank(&samples, 0.0), Some(1));
+        assert_eq!(nearest_rank(&samples, 0.50), Some(51), "rank rounds to nearest");
+        assert_eq!(nearest_rank(&samples, 0.99), Some(99));
+        assert_eq!(nearest_rank(&samples, 1.0), Some(100));
     }
 
     #[test]

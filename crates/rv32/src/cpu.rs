@@ -200,14 +200,36 @@ impl Cpu {
         &self.memory
     }
 
-    /// Mutable view of the memory (used by the attack-injection utilities).
+    /// Mutable view of the memory.
     ///
     /// Conservatively marks the predecode table stale: the caller may poke any
     /// byte, including the text segment, so the next step re-decodes the code
-    /// from memory (self-modifying-memory safety for the fast path).
+    /// from memory (self-modifying-memory safety for the fast path).  Writes to
+    /// a known range go through [`Cpu::poke_bytes`], which keeps the table
+    /// unless the range overlaps text.
     pub fn memory_mut(&mut self) -> &mut Memory {
         self.predecode_stale = true;
         &mut self.memory
+    }
+
+    /// Overwrites bytes regardless of permissions, like
+    /// [`Memory::poke_bytes`] through [`Cpu::memory_mut`], but marks the
+    /// predecode table stale only when the write overlaps the predecoded text
+    /// segment.  Loading a program's input into `.data` this way keeps the
+    /// table [`Cpu::new`] built instead of decoding the text a second time.
+    ///
+    /// # Errors
+    ///
+    /// Fails if the range is unmapped.
+    pub fn poke_bytes(&mut self, addr: u32, bytes: &[u8]) -> Result<(), Rv32Error> {
+        self.memory.poke_bytes(addr, bytes)?;
+        let text_start = u64::from(self.text_base);
+        let text_end = text_start + 4 * self.predecoded.len() as u64;
+        let start = u64::from(addr);
+        if start < text_end && start + bytes.len() as u64 > text_start {
+            self.predecode_stale = true;
+        }
+        Ok(())
     }
 
     /// Values emitted through the `print` environment call (`a7 = 1`).
@@ -644,6 +666,32 @@ mod tests {
         cpu.memory_mut()
             .poke_bytes(crate::program::DEFAULT_TEXT_BASE, &patched.to_le_bytes())
             .unwrap();
+        let exit = cpu.run(10).unwrap();
+        assert_eq!(exit.register_a0, 99, "stale predecode served the old instruction");
+    }
+
+    #[test]
+    fn data_poke_keeps_the_predecode_table() {
+        let insts = vec![
+            Instruction::Load { width: LoadWidth::Word, rd: Reg::A0, rs1: Reg::GP, offset: 0 },
+            Instruction::Ecall,
+        ];
+        let mut cpu = build(&insts);
+        cpu.poke_bytes(crate::program::DEFAULT_DATA_BASE, &42u32.to_le_bytes()).unwrap();
+        assert!(!cpu.predecode_stale, "a .data write must not force a predecode rebuild");
+        assert_eq!(cpu.run(10).unwrap().register_a0, 42);
+    }
+
+    #[test]
+    fn text_poke_through_the_cpu_invalidates_predecode() {
+        // The same self-modification as `predecode_invalidated_by_memory_poke`,
+        // through `Cpu::poke_bytes`: a write that overlaps text marks the table
+        // stale.
+        let insts = vec![addi(Reg::A0, Reg::ZERO, 1), Instruction::Ecall];
+        let mut cpu = build(&insts);
+        let patched = addi(Reg::A0, Reg::ZERO, 99).encode();
+        cpu.poke_bytes(crate::program::DEFAULT_TEXT_BASE, &patched.to_le_bytes()).unwrap();
+        assert!(cpu.predecode_stale);
         let exit = cpu.run(10).unwrap();
         assert_eq!(exit.register_a0, 99, "stale predecode served the old instruction");
     }

@@ -28,7 +28,7 @@ pub fn poke_at_instruction(at_retired: u64, addr: u32, value: u32) -> Fault {
     let mut done = false;
     Box::new(move |cpu: &mut Cpu, retired: u64| {
         if !done && retired >= at_retired {
-            cpu.memory_mut().poke_bytes(addr, &value.to_le_bytes()).expect("writable memory");
+            cpu.poke_bytes(addr, &value.to_le_bytes()).expect("writable memory");
             done = true;
         }
     })
@@ -61,9 +61,7 @@ pub fn return_address_attack(trigger_pc: u32, slot_offset: u32, malicious_target
     Box::new(move |cpu: &mut Cpu, _retired: u64| {
         if !done && cpu.pc() == trigger_pc {
             let slot = cpu.reg(Reg::SP).wrapping_add(slot_offset);
-            cpu.memory_mut()
-                .poke_bytes(slot, &malicious_target.to_le_bytes())
-                .expect("stack is writable");
+            cpu.poke_bytes(slot, &malicious_target.to_le_bytes()).expect("stack is writable");
             done = true;
         }
     })
@@ -77,9 +75,7 @@ pub fn data_only_attack(output_addr: u32, malicious_value: u32) -> Fault {
         // Re-assert the malicious value periodically so the program's own writes do
         // not mask it, but never touch anything control flow depends on.
         if retired > 0 && retired.is_multiple_of(16) {
-            cpu.memory_mut()
-                .poke_bytes(output_addr, &malicious_value.to_le_bytes())
-                .expect("writable memory");
+            cpu.poke_bytes(output_addr, &malicious_value.to_le_bytes()).expect("writable memory");
         }
     })
 }
@@ -96,9 +92,9 @@ mod tests {
         if !input.is_empty() {
             let addr = program.symbol("input").unwrap();
             let bytes: Vec<u8> = input.iter().flat_map(|w| w.to_le_bytes()).collect();
-            cpu.memory_mut().poke_bytes(addr, &bytes).unwrap();
+            cpu.poke_bytes(addr, &bytes).unwrap();
             if let Some(len) = program.symbol("input_len") {
-                cpu.memory_mut().poke_bytes(len, &(input.len() as u32).to_le_bytes()).unwrap();
+                cpu.poke_bytes(len, &(input.len() as u32).to_le_bytes()).unwrap();
             }
         }
         (program, cpu)
@@ -175,7 +171,7 @@ mod tests {
         let input_addr = program.symbol("input").unwrap();
         let mut fault = poke_at_instruction(3, input_addr, 1);
         let mut cpu = Cpu::new(&program).unwrap();
-        cpu.memory_mut().poke_bytes(input_addr, &5u32.to_le_bytes()).unwrap();
+        cpu.poke_bytes(input_addr, &5u32.to_le_bytes()).unwrap();
         for _ in 0..4 {
             let retired = cpu.instructions();
             fault(&mut cpu, retired);
@@ -183,7 +179,7 @@ mod tests {
         }
         assert_eq!(cpu.memory().load(input_addr, 4).unwrap(), 1);
         // Later program writes are not re-overwritten by the one-shot fault.
-        cpu.memory_mut().poke_bytes(input_addr, &7u32.to_le_bytes()).unwrap();
+        cpu.poke_bytes(input_addr, &7u32.to_le_bytes()).unwrap();
         let retired = cpu.instructions();
         fault(&mut cpu, retired);
         assert_eq!(cpu.memory().load(input_addr, 4).unwrap(), 7);

@@ -173,9 +173,9 @@ mod tests {
             if !input.is_empty() {
                 let addr = program.symbol("input").expect("input symbol");
                 let bytes: Vec<u8> = input.iter().flat_map(|w| w.to_le_bytes()).collect();
-                cpu.memory_mut().poke_bytes(addr, &bytes).unwrap();
+                cpu.poke_bytes(addr, &bytes).unwrap();
                 if let Some(len) = program.symbol("input_len") {
-                    cpu.memory_mut().poke_bytes(len, &(input.len() as u32).to_le_bytes()).unwrap();
+                    cpu.poke_bytes(len, &(input.len() as u32).to_le_bytes()).unwrap();
                 }
             }
             let exit = cpu.run(10_000_000).unwrap();

@@ -491,9 +491,9 @@ mod tests {
         if !input.is_empty() {
             let addr = program.symbol("input").expect("input symbol");
             let bytes: Vec<u8> = input.iter().flat_map(|w| w.to_le_bytes()).collect();
-            cpu.memory_mut().poke_bytes(addr, &bytes).unwrap();
+            cpu.poke_bytes(addr, &bytes).unwrap();
             if let Some(len) = program.symbol("input_len") {
-                cpu.memory_mut().poke_bytes(len, &(input.len() as u32).to_le_bytes()).unwrap();
+                cpu.poke_bytes(len, &(input.len() as u32).to_le_bytes()).unwrap();
             }
         }
         cpu.run(10_000_000).expect("run").register_a0
@@ -518,7 +518,7 @@ mod tests {
         let program = build(SYRINGE_PUMP).unwrap();
         let mut cpu = Cpu::new(&program).unwrap();
         let addr = program.symbol("input").unwrap();
-        cpu.memory_mut().poke_bytes(addr, &5u32.to_le_bytes()).unwrap();
+        cpu.poke_bytes(addr, &5u32.to_le_bytes()).unwrap();
         cpu.run(1_000_000).unwrap();
         let pulses_addr = program.symbol("motor_pulses").unwrap();
         let pulses = cpu.memory().load(pulses_addr, 4).unwrap();
@@ -537,10 +537,8 @@ mod tests {
         let input = [4u32, 2, 9, 1, 7];
         let addr = program.symbol("input").unwrap();
         let bytes: Vec<u8> = input.iter().flat_map(|w| w.to_le_bytes()).collect();
-        cpu.memory_mut().poke_bytes(addr, &bytes).unwrap();
-        cpu.memory_mut()
-            .poke_bytes(program.symbol("input_len").unwrap(), &5u32.to_le_bytes())
-            .unwrap();
+        cpu.poke_bytes(addr, &bytes).unwrap();
+        cpu.poke_bytes(program.symbol("input_len").unwrap(), &5u32.to_le_bytes()).unwrap();
         cpu.run(1_000_000).unwrap();
         let sorted: Vec<u32> =
             (0..5).map(|i| cpu.memory().load(addr + 4 * i, 4).unwrap()).collect();
@@ -708,9 +706,9 @@ mod extra_workload_tests {
         if !input.is_empty() {
             let addr = program.symbol("input").expect("input symbol");
             let bytes: Vec<u8> = input.iter().flat_map(|w| w.to_le_bytes()).collect();
-            cpu.memory_mut().poke_bytes(addr, &bytes).unwrap();
+            cpu.poke_bytes(addr, &bytes).unwrap();
             if let Some(len) = program.symbol("input_len") {
-                cpu.memory_mut().poke_bytes(len, &(input.len() as u32).to_le_bytes()).unwrap();
+                cpu.poke_bytes(len, &(input.len() as u32).to_le_bytes()).unwrap();
             }
         }
         cpu.run(10_000_000).expect("run").register_a0

@@ -30,9 +30,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             if !input.is_empty() {
                 let addr = program.symbol("input").expect("input symbol");
                 let bytes: Vec<u8> = input.iter().flat_map(|w| w.to_le_bytes()).collect();
-                cpu.memory_mut().poke_bytes(addr, &bytes)?;
+                cpu.poke_bytes(addr, &bytes)?;
                 if let Some(len) = program.symbol("input_len") {
-                    cpu.memory_mut().poke_bytes(len, &(input.len() as u32).to_le_bytes())?;
+                    cpu.poke_bytes(len, &(input.len() as u32).to_le_bytes())?;
                 }
             }
             Ok(())

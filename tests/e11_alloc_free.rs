@@ -1,10 +1,10 @@
 //! E11 — the steady-state trace path performs no per-instruction heap
 //! allocation.
 //!
-//! A counting global allocator wraps the system allocator; after an attested
-//! loop workload has warmed up (loop entered, first paths hashed, every buffer
-//! at capacity), thousands of further retired instructions must not allocate
-//! at all.  This pins the engine-owned scratch buffers, the recycled loop
+//! A counting global allocator wraps the system allocator and counts only the
+//! measuring thread's allocations; after an attested loop workload has warmed
+//! up (loop entered, first paths hashed, every buffer at capacity), thousands
+//! of further retired instructions must not allocate at all.  This pins the engine-owned scratch buffers, the recycled loop
 //! activations, the capacity-retaining branches memory and the idle hash-path
 //! fast path in place: a regression in any of them shows up as a nonzero
 //! allocation delta.
@@ -18,21 +18,38 @@
 //! suite in the workspace.
 
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 use lofat::{EngineConfig, LofatEngine};
 use lofat_rv32::asm::assemble;
 use lofat_rv32::Cpu;
 use proptest::prelude::*;
 
-/// System allocator wrapper counting every allocation and reallocation.
+/// System allocator wrapper counting the allocations and reallocations of
+/// threads that have armed the counter.
 struct CountingAllocator;
 
 static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
 
+thread_local! {
+    /// Set while this thread is inside a measured window.  libtest runs tests
+    /// (and its own bookkeeping) on other threads whose allocations must not
+    /// land in the window.  A `const` initialiser with no destructor needs no
+    /// lazy set-up, so reading it from inside the allocator cannot allocate.
+    static ARMED: Cell<bool> = const { Cell::new(false) };
+}
+
+fn armed() -> bool {
+    ARMED.try_with(Cell::get).unwrap_or(false)
+}
+
 unsafe impl GlobalAlloc for CountingAllocator {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        if armed() {
+            ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        }
         unsafe { System.alloc(layout) }
     }
 
@@ -41,7 +58,9 @@ unsafe impl GlobalAlloc for CountingAllocator {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        if armed() {
+            ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        }
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 }
@@ -49,13 +68,24 @@ unsafe impl GlobalAlloc for CountingAllocator {
 #[global_allocator]
 static ALLOCATOR: CountingAllocator = CountingAllocator;
 
-/// The allocation counter is process-global while libtest runs tests on
-/// parallel threads, so every test takes this lock around its measured window
-/// to keep the deltas attributable.
-static MEASUREMENT_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+/// Only one thread may be armed at a time, or its count would include the
+/// other's window, so every test takes this lock around its measurement.  A
+/// test that fails while holding it poisons it; the lock guards no data, so
+/// the next test recovers it instead of failing too.
+static MEASUREMENT_LOCK: Mutex<()> = Mutex::new(());
 
-fn allocation_count() -> u64 {
-    ALLOCATIONS.load(Ordering::Relaxed)
+fn measurement_lock() -> MutexGuard<'static, ()> {
+    MEASUREMENT_LOCK.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// Runs `window` with the current thread armed and returns the allocations
+/// it made (this thread's only).
+fn count_allocations(window: impl FnOnce()) -> u64 {
+    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    ARMED.with(|armed| armed.set(true));
+    window();
+    ARMED.with(|armed| armed.set(false));
+    ALLOCATIONS.load(Ordering::Relaxed) - before
 }
 
 /// A flat counted loop: after warm-up the engine sees the same compressed path
@@ -113,7 +143,7 @@ proptest! {
     #![proptest_config(ProptestConfig { cases: 16, ..ProptestConfig::default() })]
     #[test]
     fn steady_state_observe_is_allocation_free(trips in 2_000u32..20_000) {
-        let _serialized = MEASUREMENT_LOCK.lock().unwrap();
+        let _serialized = measurement_lock();
         // Setup (allocates freely): assemble, load, attach the engine.
         let (mut cpu, mut engine) = attested_cpu(&flat_loop_source(trips));
 
@@ -121,9 +151,7 @@ proptest! {
         step_n(&mut cpu, &mut engine, 100);
 
         // Steady state: thousands of retired instructions, zero allocations.
-        let before = allocation_count();
-        step_n(&mut cpu, &mut engine, 4_000);
-        let delta = allocation_count() - before;
+        let delta = count_allocations(|| step_n(&mut cpu, &mut engine, 4_000));
         prop_assert_eq!(
             delta,
             0,
@@ -139,14 +167,12 @@ proptest! {
 /// per-iteration instruction volume.
 #[test]
 fn nested_loop_allocations_scale_with_records_not_instructions() {
-    let _serialized = MEASUREMENT_LOCK.lock().unwrap();
+    let _serialized = measurement_lock();
     let (mut cpu, mut engine) = attested_cpu(NESTED_LOOP);
     step_n(&mut cpu, &mut engine, 300);
 
     let exits_before = engine.stats().loops_exited;
-    let before = allocation_count();
-    step_n(&mut cpu, &mut engine, 30_000);
-    let delta = allocation_count() - before;
+    let delta = count_allocations(|| step_n(&mut cpu, &mut engine, 30_000));
     let exits = engine.stats().loops_exited - exits_before;
 
     assert!(exits > 500, "expected many inner-loop exits, saw {exits}");
